@@ -192,6 +192,18 @@ def adaptive_smoothing_strength(
     return float(min(cap, n_cells / n_reports))
 
 
+def _edge_neighbours(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """The previous and next neighbour of every entry along ``axis``, edges replicated."""
+    inner = np.swapaxes(values, 0, axis)
+    before = np.empty_like(inner)
+    before[1:] = inner[:-1]
+    before[0] = inner[0]
+    after = np.empty_like(inner)
+    after[:-1] = inner[1:]
+    after[-1] = inner[-1]
+    return np.swapaxes(before, 0, axis), np.swapaxes(after, 0, axis)
+
+
 def make_grid_smoother(d: int, *, strength: float = 1.0):
     """Build the 2-D smoothing operator used by the EMS variant.
 
@@ -207,18 +219,10 @@ def make_grid_smoother(d: int, *, strength: float = 1.0):
     def smooth(theta: np.ndarray) -> np.ndarray:
         grid = np.asarray(theta, dtype=float).reshape(d, d)
         # Separable convolution with edge replication so mass is not pushed outward.
-        padded = np.pad(grid, 1, mode="edge")
-        horizontal = (
-            kernel_1d[0] * padded[1:-1, :-2]
-            + kernel_1d[1] * padded[1:-1, 1:-1]
-            + kernel_1d[2] * padded[1:-1, 2:]
-        )
-        padded_h = np.pad(horizontal, ((1, 1), (0, 0)), mode="edge")
-        smoothed = (
-            kernel_1d[0] * padded_h[:-2, :]
-            + kernel_1d[1] * padded_h[1:-1, :]
-            + kernel_1d[2] * padded_h[2:, :]
-        )
+        left, right = _edge_neighbours(grid, axis=1)
+        horizontal = kernel_1d[0] * left + kernel_1d[1] * grid + kernel_1d[2] * right
+        below, above = _edge_neighbours(horizontal, axis=0)
+        smoothed = kernel_1d[0] * below + kernel_1d[1] * horizontal + kernel_1d[2] * above
         blended = (1.0 - strength) * grid + strength * smoothed
         return blended.reshape(-1)
 
@@ -235,8 +239,8 @@ def make_line_smoother(size: int, *, strength: float = 1.0):
         vec = np.asarray(theta, dtype=float).reshape(-1)
         if vec.shape[0] != size:
             raise ValueError(f"expected a vector of length {size}, got {vec.shape[0]}")
-        padded = np.pad(vec, 1, mode="edge")
-        smoothed = kernel[0] * padded[:-2] + kernel[1] * padded[1:-1] + kernel[2] * padded[2:]
+        before, after = _edge_neighbours(vec, axis=0)
+        smoothed = kernel[0] * before + kernel[1] * vec + kernel[2] * after
         return (1.0 - strength) * vec + strength * smoothed
 
     return smooth

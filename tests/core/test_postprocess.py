@@ -202,6 +202,55 @@ class TestSmoothers:
             smoother(np.ones(4) / 4)
 
 
+_BINOMIAL = np.array([1.0, 2.0, 1.0]) / 4.0
+
+
+def _padded_grid_smooth(theta: np.ndarray, d: int, strength: float) -> np.ndarray:
+    """The ``np.pad`` formulation of the EMS grid smoother: the bit-exact oracle."""
+    grid = theta.reshape(d, d)
+    padded = np.pad(grid, 1, mode="edge")
+    horizontal = (
+        _BINOMIAL[0] * padded[1:-1, :-2]
+        + _BINOMIAL[1] * padded[1:-1, 1:-1]
+        + _BINOMIAL[2] * padded[1:-1, 2:]
+    )
+    padded_h = np.pad(horizontal, ((1, 1), (0, 0)), mode="edge")
+    smoothed = (
+        _BINOMIAL[0] * padded_h[:-2, :]
+        + _BINOMIAL[1] * padded_h[1:-1, :]
+        + _BINOMIAL[2] * padded_h[2:, :]
+    )
+    return ((1.0 - strength) * grid + strength * smoothed).reshape(-1)
+
+
+def _padded_line_smooth(theta: np.ndarray, strength: float) -> np.ndarray:
+    padded = np.pad(theta, 1, mode="edge")
+    smoothed = _BINOMIAL[0] * padded[:-2] + _BINOMIAL[1] * padded[1:-1] + _BINOMIAL[2] * padded[2:]
+    return (1.0 - strength) * theta + strength * smoothed
+
+
+class TestSmootherPadOracle:
+    """The slice-built smoothers are bit-identical to the ``np.pad`` formulation."""
+
+    @pytest.mark.parametrize("d", [2, 5, 15, 32])
+    @pytest.mark.parametrize("strength", [0.1, 0.5, 1.0])
+    def test_grid_smoother_matches_pad_oracle(self, d, strength):
+        rng = np.random.default_rng(d)
+        smoother = make_grid_smoother(d, strength=strength)
+        for theta in (rng.dirichlet(np.ones(d * d)), rng.exponential(size=d * d) * 1e-12):
+            assert np.array_equal(smoother(theta), _padded_grid_smooth(theta, d, strength))
+
+    @pytest.mark.parametrize("size", [2, 5, 15, 32])
+    @pytest.mark.parametrize("strength", [0.1, 0.5, 1.0])
+    def test_line_smoother_matches_pad_oracle(self, size, strength):
+        theta = np.random.default_rng(size).dirichlet(np.ones(size))
+        smoothed = make_line_smoother(size, strength=strength)(theta)
+        assert np.array_equal(smoothed, _padded_line_smooth(theta, strength))
+
+    def test_single_cell_grid_is_a_fixed_point(self):
+        assert np.array_equal(make_grid_smoother(1)(np.ones(1)), np.ones(1))
+
+
 class TestMatrixInversion:
     def test_recovers_truth_without_noise(self, simple_transition):
         truth = np.array([0.4, 0.3, 0.2, 0.1])
